@@ -8,7 +8,10 @@ the two produce bit-identical samples.
 Two scenarios are timed per path:
 
 - ``cold`` — empty caches: the first build after a fit, dominated by the
-  one-off per-user history blocks both paths must compute;
+  one-off per-user history blocks both paths must compute.  The columnar
+  leg builds history rows only: RETINA never reads the per-user mean
+  Doc2Vec vector, so the store leaves it unbuilt, while the seed
+  reference path still infers it for every user;
 - ``warm`` — user blocks and embeddings resident: the steady-state rebuild
   rate, which is what training sweeps, the repo's figure/table benchmarks,
   and the serving layer actually experience.  The seed path re-runs its

@@ -192,7 +192,7 @@ class HateGenFeatureExtractor:
 
     def _topic_block(self, user_id: int, hashtag: str) -> np.ndarray:
         tag_vec = self.doc2vec_.word_vector(f"#{hashtag.lower()}")
-        user_vec = self._user_block(user_id)["doc_vec"]
+        user_vec = self.store_.doc_vec(user_id)
         return np.array([cosine_similarity(user_vec, tag_vec)])
 
     def _endogen_block(self, timestamp: float) -> np.ndarray:
@@ -274,6 +274,7 @@ class HateGenFeatureExtractor:
         # per-sample ``sample_vector`` concatenation.
         users = [t.user_id for t in tweets]
         hist = self.store_.history_rows(users)
+        doc_vecs = self.store_.doc_vec_rows(users)
         tag_vecs: dict[str, np.ndarray] = {}
         topic = np.empty((len(tweets), 1))
         for i, t in enumerate(tweets):
@@ -281,7 +282,7 @@ class HateGenFeatureExtractor:
             if tag_vec is None:
                 tag_vec = self.doc2vec_.word_vector(f"#{t.hashtag.lower()}")
                 tag_vecs[t.hashtag] = tag_vec
-            topic[i, 0] = cosine_similarity(self.store_.doc_vec(t.user_id), tag_vec)
+            topic[i, 0] = cosine_similarity(doc_vecs[i], tag_vec)
         endo = np.stack([self._endogen_block(t.timestamp) for t in tweets])
         exo = self._exogen_rows(np.array([t.timestamp for t in tweets]))
         blocks = {"history": hist, "topic": topic, "endogen": endo, "exogen": exo}

@@ -10,7 +10,10 @@ are a fancy-index away:
 
 - ``history`` — (n_users, d_hist) dense matrix of per-user history blocks,
   filled lazily in *batches* (one tf-idf transform per ``ensure`` call);
-- ``doc_vecs`` — (n_users, d2v) mean Doc2Vec vectors for the topic feature;
+- ``doc_vecs`` — (n_users, d2v) mean Doc2Vec vectors for the hate-gen topic
+  feature, filled lazily and separately, only for ``doc_vec_rows``/
+  ``doc_vec``/``user_block`` callers (RETINA never reads them, so its
+  sample building and serving pay no Doc2Vec inference);
 - prior-retweet counts — CSR over (root user, candidate) pairs, looked up
   for a whole candidate list with one ``searchsorted``;
 - peer distances — one single-source BFS per root user
@@ -103,10 +106,10 @@ class FeatureStore:
     doc2vec_dim:
         Dimensionality of the mean user Doc2Vec vector.
     workers:
-        Default worker count for batched :meth:`ensure` fills (``None``
-        resolves through ``REPRO_NUM_WORKERS``, then 1).  Parallel fills
-        are bit-identical to serial ones for every worker count: each
-        user's block is a pure function of that user's history.
+        Default worker count for batched history and doc-vector fills
+        (``None`` resolves through ``REPRO_NUM_WORKERS``, then 1).
+        Parallel fills are bit-identical to serial ones for every worker
+        count: each user's row is a pure function of that user's history.
     storage:
         ``"dense"`` (default) keeps resident ``(n_users, d)`` matrices —
         the historical layout.  ``"paged"`` backs both matrices with
@@ -166,7 +169,10 @@ class FeatureStore:
         else:
             self.history = np.zeros((n, self._d_hist))
             self.doc_vecs = np.zeros((n, doc2vec_dim))
+        # Per-row validity of each matrix, filled independently: RETINA
+        # reads only history rows, the hate-gen topic feature doc vectors.
         self._built = ValidityBitmap(n)
+        self._doc_built = ValidityBitmap(n)
 
         # One pass over the world: in-window tweets grouped per user (order
         # preserved, mirroring ``user_history_before``) and retweet-reception
@@ -239,13 +245,13 @@ class FeatureStore:
         pool.sort(key=lambda tw: tw.timestamp)
         return pool[-self.history_size :]
 
-    def _user_blocks(self, missing: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """(history rows, mean Doc2Vec rows) for a list of unbuilt users.
+    def _history_block(self, missing: list[int]) -> np.ndarray:
+        """History rows for a list of users.
 
         The tf-idf transform of the joined history texts — the widest part
         of the block — runs once over the whole list; each row of a batch
         transform is bit-identical to the single-document transform the
-        seed path ran, and every other block is a pure function of one
+        seed path ran, and every other column is a pure function of one
         user's history, so any partition of ``missing`` produces identical
         rows (what makes the parallel fill exact).
         """
@@ -253,16 +259,14 @@ class FeatureStore:
         joined = [" ".join(t.text for t in recents[uid]) for uid in missing]
         tfidf = self.text_vectorizer.transform(joined)
         hist = np.empty((len(missing), self._d_hist))
-        docv = np.zeros((len(missing), self.doc2vec_dim))
         world = self.world
         for k, uid in enumerate(missing):
             i = self._index[uid]
             recent = recents[uid]
-            texts = [t.text for t in recent]
             n_hate = sum(t.is_hate for t in recent)
             n_non = len(recent) - n_hate
             hate_ratio = n_hate / (n_non + 1.0)
-            lex_vec = self.lexicon.vector_over(texts)
+            lex_vec = self.lexicon.vector_over([t.text for t in recent])
             rt_count_ratio = int(self._rts_hate[i]) / (int(self._rts_non[i]) + 1.0)
             rt_tweet_ratio = int(self._n_rt_hate[i]) / (int(self._n_rt_non[i]) + 1.0)
             user = world.users[uid]
@@ -277,88 +281,108 @@ class FeatureStore:
                 ]
             )
             hist[k] = np.concatenate([tfidf[k], lex_vec, scalars])
-            if texts:
-                # Batched inference kernel; bit-identical to per-document
-                # infer_vector calls with the same fixed seed.
-                doc_vecs = self.doc2vec.transform(texts[-5:], random_state=0)
-                docv[k] = np.mean(doc_vecs, axis=0)
-        return hist, docv
+        return hist
 
-    def _user_blocks_parallel(
-        self, missing: list[int], n_workers: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Partition ``missing`` across forked workers writing into shm."""
+    def _doc_vec_block(self, missing: list[int]) -> np.ndarray:
+        """Mean Doc2Vec rows (of the last five recent tweets) for a user list.
+
+        One batched ``transform`` per user: bit-identical to per-document
+        ``infer_vector`` calls with the same fixed seed.  Users without
+        history keep a zero row.
+        """
+        docv = np.zeros((len(missing), self.doc2vec_dim))
+        for k, uid in enumerate(missing):
+            texts = [t.text for t in self._recent(uid)]
+            if texts:
+                docv[k] = np.mean(
+                    self.doc2vec.transform(texts[-5:], random_state=0), axis=0
+                )
+        return docv
+
+    def _build_parallel(self, build, missing: list[int], width: int, n_workers: int):
+        """``build(missing)`` partitioned across forked workers writing into shm."""
         m = len(missing)
-        arena = ShmArena(
-            ShmArena.nbytes_for(
-                ((m, self._d_hist), np.float64), ((m, self.doc2vec_dim), np.float64)
-            )
-        )
-        hist = arena.alloc((m, self._d_hist))
-        docv = arena.alloc((m, self.doc2vec_dim))
+        arena = ShmArena(ShmArena.nbytes_for(((m, width), np.float64)))
+        rows = arena.alloc((m, width))
         cuts = np.linspace(0, m, n_workers + 1).astype(np.int64)
         bounds = [(int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
 
         def _fill(b):
             lo, hi = b
-            h, v = self._user_blocks(missing[lo:hi])
-            hist[lo:hi] = h
-            docv[lo:hi] = v
+            rows[lo:hi] = build(missing[lo:hi])
             return hi - lo
 
         try:
             with WorkerPool(n_workers, {"fill": _fill}, name="repro-features") as pool:
                 pool.map("fill", bounds)
-            return hist.copy(), docv.copy()
+            return rows.copy()
         finally:
             arena.release()
 
-    def ensure(self, user_ids, workers: int | None = None) -> None:
-        """Compute history blocks for any not-yet-built users, in one batch.
+    def _parts(self, which: str):
+        """(matrix, validity bitmap, row builder) of ``"history"``/``"doc_vecs"``."""
+        if which == "history":
+            return self.history, self._built, self._history_block
+        return self.doc_vecs, self._doc_built, self._doc_vec_block
+
+    def _fill(self, which: str, user_ids, workers: int | None) -> None:
+        """Build the ``which`` rows of any not-yet-built users, in one batch.
 
         With ``workers`` (or the store/``REPRO_NUM_WORKERS`` default) > 1
         and enough missing users to amortise a fork, the list is split into
         contiguous per-worker slices whose rows are written straight into a
         shared-memory matrix — bit-identical to the serial fill.
         """
-        missing = [
-            int(u) for u in dict.fromkeys(user_ids) if not self._built[self._index[u]]
-        ]
+        matrix, built, build = self._parts(which)
+        missing = [int(u) for u in dict.fromkeys(user_ids) if not built[self._index[u]]]
         if not missing:
             return
         n = resolve_workers(workers if workers is not None else self.workers)
         if n > 1 and len(missing) >= max(8, 2 * n):
-            hist, docv = self._user_blocks_parallel(missing, n)
+            rows = self._build_parallel(build, missing, matrix.shape[1], n)
         else:
-            hist, docv = self._user_blocks(missing)
+            rows = build(missing)
         idx = np.fromiter(
             (self._index[u] for u in missing), dtype=np.int64, count=len(missing)
         )
         if self.storage == "paged":
-            self.history.write_rows(idx, hist)
-            self.doc_vecs.write_rows(idx, docv)
+            matrix.write_rows(idx, rows)
         else:
-            self.history[idx] = hist
-            self.doc_vecs[idx] = docv
-        self._built[idx] = True
+            matrix[idx] = rows
+        built[idx] = True
 
-    def _rebuild_rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute (history, doc-vec) rows for store indices ``idx``.
+    def ensure(self, user_ids, workers: int | None = None) -> None:
+        """Compute history rows for any not-yet-built users, in one batch.
 
-        ``_user_blocks`` is a pure function of one user's world state, so
-        the recomputed rows are bit-identical to what the paged file held —
-        this is the degraded-read path when block I/O fails persistently.
+        ``workers`` overrides the store default for this fill; a parallel
+        fill is bit-identical to the serial one.  Doc vectors are not built here: only :meth:`doc_vec_rows`,
+        :meth:`doc_vec` and :meth:`user_block` (the hate-gen topic feature)
+        read them, and those fill them on demand.
         """
-        uids = [int(self._uids[i]) for i in idx]
-        return self._user_blocks(uids)
+        self._fill("history", user_ids, workers)
 
-    def _degraded_read(self, matrix, which: str, idx: np.ndarray) -> np.ndarray:
-        """Serve a failed paged read by rebuilding the rows from the world."""
+    def _read(self, which: str, user_ids) -> np.ndarray:
+        """Gather the (already filled) ``which`` rows of a user list.
+
+        Paged storage: a block read that fails after retries is served by
+        rebuilding just those rows of that matrix through its builder
+        (bit-identical, since each row is a pure function of one user's
+        world state) — the request degrades to slower, never to an error.
+        """
+        matrix, _, build = self._parts(which)
+        idx = np.fromiter(
+            (self._index[u] for u in user_ids), dtype=np.int64, count=len(user_ids)
+        )
+        if self.storage != "paged":
+            return matrix[idx]
+        try:
+            return matrix.read_rows(idx)
+        except PagedIOError:
+            pass
         _DEGRADED_READS.inc(matrix=which)
         self.degraded_reads += 1
         _log.warning("store.degraded_read", matrix=which, n_rows=int(len(idx)))
-        hist, docv = self._rebuild_rows(idx)
-        values = hist if which == "history" else docv
+        values = build([int(self._uids[i]) for i in idx])
         try:  # heal the backing store when the fault was transient
             matrix.write_rows(idx, values)
         except PagedIOError:
@@ -366,51 +390,25 @@ class FeatureStore:
         return values
 
     def history_rows(self, user_ids) -> np.ndarray:
-        """(n, d_hist) history blocks for a user list (built on demand).
-
-        Paged storage: a block read that fails after retries is served by
-        recomputing the rows through the builder path (bit-identical) —
-        the request degrades to slower, never to an error.
-        """
+        """(n, d_hist) history blocks for a user list (built on demand)."""
         self.ensure(user_ids)
-        idx = np.fromiter(
-            (self._index[u] for u in user_ids), dtype=np.int64, count=len(user_ids)
-        )
-        if self.storage == "paged":
-            try:
-                return self.history.read_rows(idx)
-            except PagedIOError:
-                return self._degraded_read(self.history, "history", idx)
-        return self.history[idx]
+        return self._read("history", user_ids)
+
+    def doc_vec_rows(self, user_ids) -> np.ndarray:
+        """(n, d2v) mean Doc2Vec vectors for a user list (built on demand)."""
+        self._fill("doc_vecs", user_ids, None)
+        return self._read("doc_vecs", user_ids)
 
     def user_block(self, user_id: int) -> dict:
         """Seed-shaped ``{"history": ..., "doc_vec": ...}`` for one user."""
-        self.ensure([user_id])
-        i = self._index[user_id]
-        if self.storage == "paged":
-            idx = np.array([i], dtype=np.int64)
-            try:
-                history = self.history.read_row(i)
-            except PagedIOError:
-                history = self._degraded_read(self.history, "history", idx)[0]
-            try:
-                doc_vec = self.doc_vecs.read_row(i)
-            except PagedIOError:
-                doc_vec = self._degraded_read(self.doc_vecs, "doc_vecs", idx)[0]
-            return {"history": history, "doc_vec": doc_vec}
-        return {"history": self.history[i], "doc_vec": self.doc_vecs[i]}
+        return {
+            "history": self.history_rows([user_id])[0],
+            "doc_vec": self.doc_vec_rows([user_id])[0],
+        }
 
     def doc_vec(self, user_id: int) -> np.ndarray:
         """Mean Doc2Vec vector of one user's recent history."""
-        self.ensure([user_id])
-        if self.storage == "paged":
-            i = self._index[user_id]
-            try:
-                return self.doc_vecs.read_row(i)
-            except PagedIOError:
-                idx = np.array([i], dtype=np.int64)
-                return self._degraded_read(self.doc_vecs, "doc_vecs", idx)[0]
-        return self.doc_vecs[self._index[user_id]]
+        return self.doc_vec_rows([user_id])[0]
 
     def tweet_vec(self, tweet) -> np.ndarray:
         """Cached deterministic Doc2Vec embedding of one tweet's text."""
@@ -562,14 +560,16 @@ class FeatureStore:
         Call *after* :func:`repro.store.apply_events_to_world` mutated this
         store's world.  Guarded by a per-store watermark, so overlapping
         batches (and stores sharing one world) are safe.  Rebuilding a
-        dirtied history row later reads the updated counters/world, so the
-        row is bit-identical to a cold build over the mutated world.
+        dirtied history row or doc vector later reads the updated
+        counters/world, so the row is bit-identical to a cold build over
+        the mutated world.
 
         Returns per-structure invalidation counts (also exported on the
         ``repro_store_invalidations_total`` counter).
         """
         counts = {
             "history_row": 0,
+            "doc_vec": 0,
             "retweet_counts": 0,
             "distance_cache": 0,
             "in_window": 0,
@@ -586,6 +586,9 @@ class FeatureStore:
                 batch_rts[s.event.tweet_id] = batch_rts.get(s.event.tweet_id, 0) + 1
         seen_rts: dict[int, int] = {}
         dirty_rows: set[int] = set()
+        # A doc vector reads only the user's recent texts, which only the
+        # user's own tweets change.
+        dirty_docs: set[int] = set()
         for s in events:
             ev = s.event
             if ev.kind == "tweet":
@@ -598,6 +601,7 @@ class FeatureStore:
                 i = self._index.get(ev.user_id)
                 if i is not None:
                     dirty_rows.add(int(i))
+                    dirty_docs.add(int(i))
             elif ev.kind == "retweet":
                 cascade = cascade_index.get(ev.tweet_id)
                 if cascade is None:
@@ -630,7 +634,10 @@ class FeatureStore:
             # is pinned at the extractor layer.
         for i in dirty_rows:
             self._built[i] = False
+        for i in dirty_docs:
+            self._doc_built[i] = False
         counts["history_row"] = len(dirty_rows)
+        counts["doc_vec"] = len(dirty_docs)
         self._applied_seq = events[-1].seq
         for structure, n in counts.items():
             if n:
@@ -641,6 +648,7 @@ class FeatureStore:
     def invalidate(self) -> None:
         """Drop every lazily built block and BFS result (for benchmarks)."""
         self._built[:] = False
+        self._doc_built[:] = False
         if self.storage == "paged":
             self.history.clear()
             self.doc_vecs.clear()

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.retina import RetinaFeatureExtractor
 from repro.features import assemble_rows
 from repro.features.reference import _reference_user_block
+from repro.text.doc2vec import Doc2Vec
 
 
 class TestHistoryBlocks:
@@ -29,6 +31,45 @@ class TestHistoryBlocks:
     def test_history_dim_consistent(self, fitted_extractor):
         store = fitted_extractor.store_
         assert store.history_rows([0]).shape == (1, store.history_dim)
+
+
+class TestLazyDocVecs:
+    """RETINA sample building never reads doc vectors, so never builds them."""
+
+    @pytest.fixture(params=["dense", "paged"])
+    def fresh_extractor(self, request, fitted_extractor, features_world, monkeypatch):
+        monkeypatch.setenv("REPRO_FEATURE_STORAGE", request.param)
+        ext = RetinaFeatureExtractor.from_state(
+            features_world.world, fitted_extractor.to_state()
+        )
+        assert ext.store_.storage == request.param
+        yield ext
+        ext.store_.close()
+
+    def test_build_samples_builds_no_doc_vecs(
+        self, fresh_extractor, features_world, monkeypatch
+    ):
+        calls = []
+        transform = Doc2Vec.transform
+
+        def counting(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return transform(self, *args, **kwargs)
+
+        monkeypatch.setattr(Doc2Vec, "transform", counting)
+        store = fresh_extractor.store_
+        fresh_extractor.build_samples(features_world.world.cascades[:15])
+        assert store._built.count() > 0
+        assert store._doc_built.count() == 0
+        assert calls == []
+
+        uids = sorted(features_world.world.users)[:25]
+        cache = {}
+        for uid in uids:
+            seed = _reference_user_block(fresh_extractor.base_, uid, cache)
+            np.testing.assert_array_equal(store.doc_vec(uid), seed["doc_vec"])
+        assert store._doc_built.count() == len(uids)
+        assert 0 < len(calls) <= len(uids)  # at most one transform per user
 
 
 class TestPriorRetweets:

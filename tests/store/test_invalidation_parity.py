@@ -1,17 +1,17 @@
 """Golden guarantee: incremental invalidation == cold rebuild, bit-exact.
 
 Two identical worlds are generated from one config.  The *live* side
-fits a RETINA extractor, pre-warms every lazy cache (history rows, BFS
-distance maps), then folds a batch of ingest events in through
+fits a RETINA extractor, pre-warms every lazy cache (history rows, doc
+vectors, BFS distance maps), then folds a batch of ingest events in through
 ``apply_events_to_world`` + ``RetinaFeatureExtractor.apply_events``.
 The *cold* side applies the same stored events to the twin world and
 builds a fresh :class:`FeatureStore` over the mutated world using the
 SAME fitted text models (the vectorizer/lexicon/doc2vec are functions
 of the train corpus only, which the twins share bit-for-bit).
 
-Every feature surface the serving path reads — history rows, peer
-blocks (BFS distance + prior-retweet CSR), retweet-reception counters —
-must match exactly.  Pre-warming first is the point: a stale-cache bug
+Every feature surface the serving path reads — history rows, doc
+vectors, peer blocks (BFS distance + prior-retweet CSR),
+retweet-reception counters — must match exactly.  Pre-warming first is the point: a stale-cache bug
 would leave the live side serving pre-event values.
 
 Runs for dense storage, ``REPRO_FEATURE_STORAGE=paged``, and
@@ -76,6 +76,9 @@ def _assert_parity(live_store, cold_store, users, probes):
     assert np.array_equal(
         live_store.history_rows(users), cold_store.history_rows(users)
     ), "history rows diverge from a cold rebuild"
+    assert np.array_equal(
+        live_store.doc_vec_rows(users), cold_store.doc_vec_rows(users)
+    ), "doc vectors diverge from a cold rebuild"
     for root in probes:
         assert np.array_equal(
             live_store.peer_block(root, users),
@@ -104,6 +107,7 @@ def _run_parity(workers):
     live = ext.store_
     # Pre-warm every lazy surface so stale caches would be caught.
     live.ensure(users)
+    live.doc_vec_rows(users)
     warm_hist = live.history_rows(users).copy()
     warm_peer = {p: live.peer_block(p, users).copy() for p in probes}
 
@@ -112,6 +116,9 @@ def _run_parity(workers):
     counts = ext.apply_events(stored)
     assert counts["retweet_counts"] == 2
     assert counts["history_row"] >= 1
+    # Only the new tweet's author can have a stale doc vector.
+    assert counts["doc_vec"] == 1
+    assert live._doc_built.count() == len(users) - 1
 
     # Cold side: pre-mutation train counts + the batch's retweets, a
     # fresh store over the mutated twin with the same text models.
